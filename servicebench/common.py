@@ -10,11 +10,11 @@ from __future__ import annotations
 
 import hashlib
 import json
-import math
 import os
 import platform
 import re
 import signal
+import statistics
 import subprocess
 import threading
 import time
@@ -32,28 +32,21 @@ RUNS_DIR = ROOT / ".servicebench"
 # -- statistics ----------------------------------------------------------------
 
 
-def percentile(values, q: float) -> float:
-    """The ``q``-th percentile (0–100) of ``values`` by linear
-    interpolation between closest ranks (numpy's default method).
+def percentile(values, q: int) -> float:
+    """The ``q``-th percentile (1–99) of ``values``, interpolated
+    between closest ranks (``statistics.quantiles``' inclusive method).
 
-    Raises ``ValueError`` on an empty sequence: a metric with no samples
-    must be reported as such, never as a made-up number.
+    Raises ``ValueError`` on fewer than two samples: a metric without
+    enough samples must be reported as such, never as a made-up number.
     """
-    ordered = sorted(float(value) for value in values)
-    if not ordered:
-        raise ValueError("percentile of an empty sequence")
-    if not 0.0 <= q <= 100.0:
-        raise ValueError(f"percentile must be within [0, 100], got {q}")
-    rank = (len(ordered) - 1) * q / 100.0
-    low = math.floor(rank)
-    high = math.ceil(rank)
-    if low == high:
-        return ordered[low]
-    return ordered[low] + (ordered[high] - ordered[low]) * (rank - low)
+    values = [float(value) for value in values]
+    if len(values) < 2:
+        raise ValueError(f"percentile of {len(values)} samples")
+    return statistics.quantiles(values, n=100, method="inclusive")[q - 1]
 
 
 def median(values) -> float:
-    return percentile(values, 50.0)
+    return statistics.median(values)
 
 
 def median_or_zero(values) -> float:
@@ -142,6 +135,20 @@ def steal_share(before: list[int], after: list[int]) -> float:
     delta = [end - start for start, end in zip(before, after)]
     total = sum(delta[:8])
     return delta[7] / total if total else 0.0
+
+
+def host_probe_ms() -> float:
+    """Median time of a fixed pure-Python loop, in ms.  Recorded at the
+    start and the end of a run, never gated: on a shared host the speed
+    of the same instructions drifts, and this shows how far."""
+    times = []
+    for _round in range(5):
+        started = time.perf_counter()
+        total = 0
+        for value in range(100_000):
+            total += value * value
+        times.append(time.perf_counter() - started)
+    return statistics.median(times) * 1000.0
 
 
 # -- child processes -----------------------------------------------------------

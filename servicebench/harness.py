@@ -278,9 +278,10 @@ def closed_loop(users: int, body) -> list:
 
 
 def metadata_phase(client: BenchClient, job_ids: list[str],
-                   requests: int) -> list[float]:
+                   requests: int, seconds: float) -> list[float]:
     """A closed loop of metadata-plane calls (job get, job list,
-    summary, progress) on finished jobs; returns each call's seconds."""
+    summary, progress) on finished jobs, for at least ``requests`` calls
+    and ``seconds`` of wall time; returns each call's seconds."""
     calls = (
         lambda job_id: client.job(job_id),
         lambda _job_id: client.list_jobs(),
@@ -288,9 +289,12 @@ def metadata_phase(client: BenchClient, job_ids: list[str],
         lambda job_id: client.job_progress(job_id),
     )
     latencies = []
-    for index in range(requests):
+    deadline = time.perf_counter() + seconds
+    index = 0
+    while index < requests or time.perf_counter() < deadline:
         job_id = job_ids[(index // len(calls)) % len(job_ids)]
         started = time.perf_counter()
         calls[index % len(calls)](job_id)
         latencies.append(time.perf_counter() - started)
+        index += 1
     return latencies

@@ -100,6 +100,8 @@ def layer_metrics(outcome, workload, spans: list[dict],
     first = _within(spans, marks["setup_end"], marks["first_end"])
     again = _within(spans, marks["first_end"], marks["recampaign_end"])
     campaigns = _within(spans, marks["setup_end"], marks["recampaign_end"])
+    # The other cold starts upload the same blobs to fleets of their own.
+    live = _within(spans, marks["fleet_start"], marks["api_end"])
     experiments = [experiment
                    for run in outcome.first + outcome.recampaign
                    for experiment in run.experiments]
@@ -121,10 +123,10 @@ def layer_metrics(outcome, workload, spans: list[dict],
             for run in outcome.first),
         "service.requests_failed": counter.failed_of("http"),
         "service.blob_bytes_shipped": sum(
-            _attr_values(spans, "service.blob_put", "bytes")),
+            _attr_values(live, "service.blob_put", "bytes")),
         "service.blob_sync_s": sum(
-            durations(spans, "service.blob_put")
-            + durations(spans, "service.blob_missing")),
+            durations(live, "service.blob_put")
+            + durations(live, "service.blob_missing")),
         "service.blob_dedup_ratio": outcome.extra.get("dedup_ratio", 0.0),
         "service.shard_dispatch_ms": median_or_zero(
             durations(spans, "service.shard_dispatch")) * MS,

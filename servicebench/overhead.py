@@ -5,8 +5,8 @@
 Runs ``run.py`` once with ``--trace 0`` and once with ``--trace 1`` per
 workload (same seed) and prints one row per workload: the untraced
 ``campaign_s``, the traced one (``trace.campaign_s``), and their ratio.
-It also checks that the traced run printed every per-layer metric.
-Exits non-zero when a run fails or a metric is missing.
+Exits non-zero when a run fails; ``run.py`` itself fails a traced run
+that lacks a per-layer metric.
 """
 
 from __future__ import annotations
@@ -21,7 +21,6 @@ HERE = Path(__file__).resolve().parent
 sys.path.insert(0, str(HERE))
 sys.path.insert(0, str(HERE.parent / "src"))
 
-from layers import PER_LAYER  # noqa: E402
 from workloads import WORKLOADS  # noqa: E402
 
 
@@ -46,19 +45,14 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     print(f"{'workload':16s} {'campaign_s':>11s} {'traced':>11s} "
           f"{'overhead':>9s}")
-    missing_any = False
     for workload in args.workloads:
         plain = run(workload, args.seed, args.seconds, 0)["metrics"]
         traced = run(workload, args.seed, args.seconds, 1)["metrics"]
-        missing = sorted(set(PER_LAYER) - set(traced))
         base = plain["campaign_s"]["value"]
         with_trace = traced["trace.campaign_s"]["value"]
         print(f"{workload:16s} {base:11.4f} {with_trace:11.4f} "
               f"{(with_trace / base - 1) * 100:+8.1f}%")
-        if missing:
-            missing_any = True
-            print(f"  missing per-layer metrics: {missing}")
-    return 1 if missing_any else 0
+    return 0
 
 
 if __name__ == "__main__":

@@ -33,6 +33,7 @@ from common import (  # noqa: E402 - after the path setup above
     cpu_ticks,
     emit,
     emit_json,
+    host_probe_ms,
     median,
     percentile,
     run_context,
@@ -115,6 +116,7 @@ def main(argv=None) -> int:
     workload = WORKLOADS[args.workload](args.seed, args.seconds, run_dir,
                                        counter, tracer)
     outcome = None
+    probe = [host_probe_ms()]
     ticks = cpu_ticks()
     try:
         outcome = workload.run()
@@ -130,7 +132,8 @@ def main(argv=None) -> int:
             "first_pass": marks["first_end"] - marks["setup_end"],
             "recampaign": outcome.recampaign_seconds,
             "metadata": marks["api_end"] - marks["recampaign_end"],
-            "host_steal_share": steal_share(ticks, cpu_ticks())})
+            "host_steal_share": steal_share(ticks, cpu_ticks()),
+            "host_probe_ms": [*probe, host_probe_ms()]})
         emit_json("inputs", {"setups": outcome.setup_seconds,
                              "first_pass_campaigns": len(outcome.first),
                              "recampaigns": len(outcome.recampaign),

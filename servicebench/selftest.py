@@ -2,7 +2,7 @@
 
     python3 -m pytest servicebench/selftest.py -q
 
-They cover the statistics helper, the VmHWM reader, the failure counter,
+They cover the percentile helper, the VmHWM reader, the failure counter,
 the request classifier, span self time, and the oracles — each oracle is
 fed a deliberately wrong outcome and must reject it.
 """
@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import json
 import os
-import statistics
 import sys
 import threading
 from pathlib import Path
@@ -29,27 +28,14 @@ from tracing import Tracer, self_times  # noqa: E402
 # -- percentile ------------------------------------------------------------------
 
 
-def test_percentile_interpolates_between_ranks():
+def test_percentile_p50_p90_and_too_few_samples():
     values = [4.0, 1.0, 3.0, 2.0]
     assert percentile(values, 50) == 2.5
-    assert percentile(values, 0) == 1.0
-    assert percentile(values, 100) == 4.0
     assert percentile(values, 90) == pytest.approx(3.7)
-
-
-def test_percentile_matches_statistics_inclusive_quartiles():
-    values = [0.9, 1.3, 1.1, 2.5, 1.0, 1.2, 7.0, 1.15, 1.05, 1.4, 1.6]
-    quartiles = statistics.quantiles(values, n=4, method="inclusive")
-    assert [percentile(values, q) for q in (25, 50, 75)] == \
-        pytest.approx(quartiles)
-
-
-def test_percentile_rejects_empty_and_out_of_range():
     with pytest.raises(ValueError):
         percentile([], 50)
     with pytest.raises(ValueError):
-        percentile([1.0], 101)
-    assert percentile([5.0], 90) == 5.0
+        percentile([5.0], 90)
 
 
 # -- VmHWM -----------------------------------------------------------------------
@@ -283,3 +269,22 @@ def test_toy_target_workload_checks_every_return_value(tmp_path):
         mutant = source.rsplit("    return", 1)[0] + "    return -1\n"
         (tmp_path / "app.py").write_text(app.replace(source, mutant))
         assert run() == 1
+
+
+def test_etcd_pinned_counts_match_the_client_source(tmp_path):
+    """The etcd oracle's pinned experiment counts, recounted from the
+    client's text without the program's scanner."""
+    import re
+
+    from repro.etcdsim.target import materialize_target
+    from workloads import EtcdCaseStudy
+
+    materialize_target(tmp_path / "target")
+    source = (tmp_path / "target" / "pyetcd" / "client.py").read_text()
+    key_calls = re.findall(r"^ +\w+ = self\._key_endpoint\(\w+\)$", source,
+                           re.MULTILINE)
+    prefix_joins = [line for line in re.findall(r'^ +\w+ = "[^"]*" \+ .*$',
+                                                source, re.MULTILINE)
+                    if " if " not in line]
+    assert len(key_calls) == EtcdCaseStudy.first_experiments
+    assert len(prefix_joins) == EtcdCaseStudy.added_experiments
